@@ -60,8 +60,8 @@ def search_cluster_entry(entry: CachedCluster, queries: np.ndarray,
                          k: int, ef: int) -> ClusterSearchResult:
     """Search one cluster (graph + overflow) for a block of queries.
 
-    The overflow replay, live-record matrix, and (on the compiled engine)
-    the CSR compilation are computed once for the whole block.  Distance
+    The overflow replay, live-record matrix, and (for small L2 graphs)
+    the distance tables are computed once for the whole block.  Distance
     evaluations are read off the entry's kernel counter, so they match the
     serial engine exactly; with one task per cluster no two concurrent
     tasks share a kernel.

@@ -62,8 +62,8 @@ class BatchResult:
     #: True when the double-buffered wave pipeline actually ran (multi-wave
     #: plan with ``pipeline_waves`` enabled).
     pipeline_executed: bool = False
-    #: The pre-PR-4 closed-form estimate ``_overlap_saved`` computes from
-    #: per-wave (fetch, process) profiles — retained as a test oracle that
+    #: The closed-form estimate :func:`repro.serving.executor.overlap_saved`
+    #: computes from per-wave (fetch, process) profiles — retained as a test oracle that
     #: must match the measured ``overlap_saved_us``.
     overlap_oracle_us: float = 0.0
     #: Clusters served from the cold (PQ/Vamana) tier this batch, and the

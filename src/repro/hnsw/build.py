@@ -31,12 +31,11 @@ import random
 
 import numpy as np
 
-from repro.hnsw.csr import TABLE_NODES_MAX
 from repro.hnsw.distance import DistanceKernel, Metric
 from repro.hnsw.graph import LayeredGraph
 from repro.hnsw.params import HnswParams
 from repro.hnsw.search import (greedy_descent, greedy_descent_table,
-                               search_layer, search_layer_table)
+                               search_layer, search_layer_table, table_mode)
 
 __all__ = ["sample_level", "select_neighbors_heuristic", "insert"]
 
@@ -246,8 +245,7 @@ def insert(graph: LayeredGraph, kernel: DistanceKernel, vector: np.ndarray,
     # (the new node is added after, so it never appears as its own
     # neighbour), and the traversal credits evaluations as it visits.
     table: list[float] | None = None
-    if (VECTORIZED_CONSTRUCTION and kernel.metric is Metric.L2
-            and len(graph) <= TABLE_NODES_MAX):
+    if VECTORIZED_CONSTRUCTION and table_mode(graph, kernel):
         table = kernel.l2_table(query, graph.vectors).tolist()
 
     # Phase 1: zoom in through layers above the new node's level.

@@ -103,7 +103,9 @@ class DistanceKernel:
         self.num_evaluations = 0
         return previous
 
-    def _check(self, array: np.ndarray) -> np.ndarray:
+    def check(self, array: np.ndarray) -> np.ndarray:
+        """``array`` as float32, or DimensionMismatchError if its width
+        is not the kernel's dimensionality."""
         array = np.asarray(array, dtype=np.float32)
         if array.shape[-1] != self.dim:
             raise DimensionMismatchError(self.dim, array.shape[-1])
@@ -111,8 +113,8 @@ class DistanceKernel:
 
     def one(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two single vectors."""
-        a = self._check(a)
-        b = self._check(b)
+        a = self.check(a)
+        b = self.check(b)
         self.num_evaluations += 1
         if self.metric is Metric.L2:
             diff = a - b
@@ -128,9 +130,10 @@ class DistanceKernel:
         """:meth:`one` minus input validation, for pre-validated arrays.
 
         Same arithmetic and counting; both operands must already be
-        float32 vectors of the kernel's dimensionality.  Used by the
-        compiled engine's batch loop, which validates the query matrix
-        once instead of twice per query.
+        float32 vectors of the kernel's dimensionality.  Used by
+        :meth:`HnswIndex.search_candidates_batch
+        <repro.hnsw.index.HnswIndex.search_candidates_batch>`, which
+        validates the query matrix once instead of twice per query.
         """
         self.num_evaluations += 1
         if self.metric is Metric.L2:
@@ -149,17 +152,18 @@ class DistanceKernel:
         This is the hot path of HNSW neighbourhood expansion: one call per
         hop, vectorized over the hop's unvisited neighbours.
         """
-        query = self._check(query)
-        corpus = self._check(np.atleast_2d(corpus))
+        query = self.check(query)
+        corpus = self.check(np.atleast_2d(corpus))
         return self.many_prechecked(query, corpus)
 
     def many_prechecked(self, query: np.ndarray,
                         corpus: np.ndarray) -> np.ndarray:
         """:meth:`many` minus input validation, for pre-validated arrays.
 
-        The compiled flat-graph engine (:mod:`repro.hnsw.csr`) calls this
-        once per hop with arrays it gathered itself; ``query`` must be a
-        float32 vector and ``corpus`` a float32 matrix of matching width.
+        The per-hop beam (:func:`repro.hnsw.search.search_layer`) checks
+        its query once and calls this per hop with rows it gathered
+        itself; ``query`` must be a float32 vector and ``corpus`` a
+        float32 matrix of matching width.
         Arithmetic and counting are exactly :meth:`many`'s, so results
         stay bit-identical between the two entry points.
         """
@@ -180,8 +184,8 @@ class DistanceKernel:
                  corpus: np.ndarray) -> np.ndarray:
         """**Uncounted** L2 distances from each query to every corpus row.
 
-        The compiled table engine (:mod:`repro.hnsw.csr`) evaluates a
-        whole small graph up front and credits ``num_evaluations`` only
+        The table beam (:func:`repro.hnsw.search.search_layer_table`)
+        evaluates a whole small graph up front and credits ``num_evaluations`` only
         for the rows the traversal actually visits, so this method does
         not touch the counter — every other kernel entry point counts.
 
@@ -214,8 +218,8 @@ class DistanceKernel:
 
     def cross(self, queries: np.ndarray, corpus: np.ndarray) -> np.ndarray:
         """Full distance matrix between query rows and corpus rows."""
-        queries = self._check(np.atleast_2d(queries))
-        corpus = self._check(np.atleast_2d(corpus))
+        queries = self.check(np.atleast_2d(queries))
+        corpus = self.check(np.atleast_2d(corpus))
         self.num_evaluations += queries.shape[0] * corpus.shape[0]
         if self.metric is Metric.L2:
             return pairwise_l2(queries, corpus)

@@ -15,9 +15,35 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError
 
-__all__ = ["LayeredGraph"]
+__all__ = ["LayeredGraph", "VisitedPool"]
 
 _INITIAL_CAPACITY = 64
+
+
+class VisitedPool:
+    """A reusable epoch-tagged visited list (hnswlib's VisitedListPool).
+
+    ``acquire()`` bumps the epoch and returns ``(tags, epoch)``; a node is
+    visited iff ``tags[node] == epoch``.  Marking is a list store and
+    clearing is free — no per-query ``set`` allocation, no O(n) reset.
+    Tags are a plain Python list because the traversal loop reads and
+    writes them one node at a time.
+    """
+
+    __slots__ = ("_tags", "_epoch")
+
+    def __init__(self, num_nodes: int) -> None:
+        self._tags: list[int] = [0] * max(num_nodes, 1)
+        self._epoch = 0
+
+    def grow(self) -> None:
+        """Make room for one more node."""
+        self._tags.append(0)
+
+    def acquire(self) -> tuple[list[int], int]:
+        """Start a fresh traversal: returns the tag list and its epoch."""
+        self._epoch += 1
+        return self._tags, self._epoch
 
 
 class LayeredGraph:
@@ -37,6 +63,11 @@ class LayeredGraph:
         self.adjacency: list[list[list[int]]] = []
         self.entry_point: int | None = None
         self.max_level: int = -1
+        # One visited pool per graph: traversals of one graph never run
+        # concurrently (the serving executor already relies on this for
+        # the kernel's evaluation counter — one task per cluster), so a
+        # single tag list serves every search and every insert.
+        self.visited = VisitedPool(0)
 
     # ------------------------------------------------------------------
     # Node management
@@ -76,6 +107,7 @@ class LayeredGraph:
         self._vectors[node] = vector
         self._count += 1
         self.adjacency.append([[] for _ in range(level + 1)])
+        self.visited.grow()
         if level > self.max_level:
             self.max_level = level
             self.entry_point = node
@@ -117,6 +149,7 @@ class LayeredGraph:
             self._vectors = store
         self._count = count
         self.adjacency = adjacency
+        self.visited = VisitedPool(count)
 
     def _grow(self) -> None:
         new_capacity = max(_INITIAL_CAPACITY, self._vectors.shape[0] * 2)

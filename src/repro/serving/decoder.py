@@ -111,9 +111,6 @@ class Decoder:
         blob_start = cluster.blob_offset - extent_offset
         blob = payload[blob_start:blob_start + cluster.blob_length]
         index, parsed_cid = deserialize_cluster(blob, host.config.sub_params)
-        # Sub-HNSWs are frozen after deserialization; bind them to this
-        # client's engine choice so benchmarks can compare both paths.
-        index.prefer_compiled = host.compiled_engine
         if parsed_cid != cluster_id:
             raise LayoutError(
                 f"extent for cluster {cluster_id} contained blob of "

@@ -114,14 +114,6 @@ class TestMaterializeOnInvalidate:
         assert cache.materialize_all() == 1
         assert cache.materialize_all() == 0  # idempotent
 
-    def test_materialize_covers_the_compiled_graph_too(self):
-        entry = make_entry(0, adopted=True)
-        compiled = entry.index.compiled()
-        compiled.vectors.setflags(write=False)
-        assert entry.materialize()
-        assert entry.index.graph.vectors.flags.writeable
-        assert entry.index.compiled().vectors.flags.writeable
-
 
 class TestDramOvercommit:
     def test_forced_reservation_exceeds_budget_honestly(self):

@@ -46,7 +46,7 @@ class TestHitWaveRefetch:
     refetch counted as a miss."""
 
     def run_hit_plan(self, client, queries, cid):
-        execution = client._execute_plan(
+        execution = client.engine.execute_plan(
             hit_plan(cid), queries, TopKMerger(len(queries), 10), k=10,
             ef=16)
         return execution
@@ -57,7 +57,7 @@ class TestHitWaveRefetch:
         queries = small_dataset.queries[:1]
         cid = 0
         # Warm the cluster, then evict it behind the planner's back.
-        client._cache_put(client._fetch_clusters([cid], True)[cid])
+        client.engine.fetcher.cache_put(client.engine.fetcher.fetch_clusters([cid], True)[cid])
         client.cache.invalidate(cid)
         before_hits, before_misses, _ = client.cache.counters()
         fetched_before = client.node.stats.read_ops
@@ -99,14 +99,14 @@ class TestHitWaveRefetch:
         config = small_config.replace(pipeline_waves=True)
         client = make_client(built_deployment, config)
         queries = small_dataset.queries[:1]
-        client._cache_put(client._fetch_clusters([0], True)[0])
+        client.engine.fetcher.cache_put(client.engine.fetcher.fetch_clusters([0], True)[0])
         client.cache.invalidate(0)
         plan = BatchPlan(
             waves=(Wave(fetch_cluster_ids=(), serviced=((0, 0),)),
                    Wave(fetch_cluster_ids=(1,), serviced=((0, 1),))),
             cache_hit_cluster_ids=(0,), unique_clusters=2,
             duplicate_requests_pruned=0)
-        execution = client._execute_plan(plan, queries,
+        execution = client.engine.execute_plan(plan, queries,
                                          TopKMerger(1, 10), k=10, ef=16)
         assert execution.pipeline_executed
         assert execution.fetched == 2        # refetch of 0 plus fetch of 1

@@ -93,7 +93,7 @@ class TestWavePipelining:
 
     def test_measured_overlap_matches_oracle(self, built_deployment,
                                              small_config, small_dataset):
-        """The realized schedule is exactly the retained ``_overlap_saved``
+        """The realized schedule is exactly the retained ``overlap_saved``
         closed form: measured hidden wire time == the oracle's estimate
         from the per-wave (fetch, process) profiles."""
         config = small_config.replace(pipeline_waves=True)

@@ -192,7 +192,7 @@ class TestL2Table:
         np.testing.assert_array_equal(table, kernel.many(query, corpus))
 
     def test_row_subsets_bitwise_match(self, rng):
-        """The equivalence contract of the compiled table engine: any
+        """The equivalence contract of the distance-table beam: any
         row subset of the table equals evaluating that subset directly."""
         kernel = DistanceKernel(8)
         query = rng.standard_normal(8).astype(np.float32)
